@@ -11,6 +11,12 @@
 //! Both sides are checked for bit-identical results before any timing —
 //! a speedup over diverging answers would be meaningless.
 //!
+//! Two layers of the analysis are also timed alone over one exhaustive
+//! 8-bit input space (65,536 pairs): `fold_*` folds precomputed outputs
+//! (per-pair fold before, [`ErrorFold`] after) and `unpack_*` turns wide
+//! simulation words into integer results (a full [`transpose64`] per lane
+//! word before, the output-width-aware [`unpack_results_wide`] after).
+//!
 //! Usage: `cargo run --release -p afp-bench --bin sim_scaling [--quick]`
 //!
 //! Writes `results/sim_scaling.csv`.
@@ -19,9 +25,12 @@ use std::time::Instant;
 
 use afp_bench::render::table;
 use afp_bench::write_csv;
-use afp_circuits::{adders, multipliers, ArithCircuit};
-use afp_error::{analyze, ErrorConfig};
-use afp_netlist::{eval_pass_reference, pack_operand, Netlist, SimScratch};
+use afp_circuits::{adders, multipliers, ArithCircuit, BatchEvaluator};
+use afp_error::{analyze, ErrorConfig, ErrorFold, ErrorMetrics, BLOCK_PAIRS};
+use afp_netlist::{
+    eval_pass_reference, pack_lanes_wide, pack_operand, transpose64, unpack_results_wide, Netlist,
+    SimScratch, SimTape, LANES, LANE_WORDS,
+};
 
 /// Median-of-runs wall time of `f`, in microseconds.
 fn time_us(iters: u32, runs: usize, mut f: impl FnMut()) -> f64 {
@@ -76,6 +85,112 @@ fn legacy_exhaustive(circuit: &ArithCircuit) -> (u64, u128) {
     (n, sum_abs)
 }
 
+/// Every exhaustive output of `circuit`, in pair-index order.
+fn exhaustive_outputs(circuit: &ArithCircuit) -> Vec<u64> {
+    let end = 1u64 << (2 * circuit.width());
+    let mut batch = BatchEvaluator::new(circuit);
+    let mut got = Vec::with_capacity(end as usize);
+    for p in (0..end).step_by(LANES) {
+        batch.eval_exhaustive_block_into(p, LANES.min((end - p) as usize), &mut got);
+    }
+    got
+}
+
+/// The error fold alone over precomputed exhaustive outputs, blocked and
+/// merged exactly as [`analyze`] blocks and merges it.
+fn block_fold(circuit: &ArithCircuit, got: &[u64]) -> ErrorMetrics {
+    let new = || ErrorFold::new(circuit.kind(), circuit.width());
+    let mut total = new();
+    for (b, block) in got.chunks(BLOCK_PAIRS).enumerate() {
+        let mut fold = new();
+        for (c, chunk) in block.chunks(LANES).enumerate() {
+            fold.push_exhaustive((b * BLOCK_PAIRS + c * LANES) as u64, chunk);
+        }
+        total.merge(&fold);
+    }
+    total.finish(true)
+}
+
+/// The error fold as it ran before [`ErrorFold`]: one asserting golden
+/// call and one branchy 128-bit update per pair, same blocks and merge
+/// order. Returns `(mae, mre)` for the equivalence check.
+fn legacy_fold(circuit: &ArithCircuit, got: &[u64]) -> (f64, f64) {
+    let w = circuit.width();
+    let mask = (1u64 << w) - 1;
+    let (mut n, mut sum_abs, mut sum_signed, mut sum_sq) = (0u64, 0u128, 0i128, 0u128);
+    let (mut wce, mut nonzero, mut rel_n, mut sum_rel) = (0u64, 0u64, 0u64, 0.0f64);
+    for (b, block) in got.chunks(BLOCK_PAIRS).enumerate() {
+        let mut block_rel = 0.0f64;
+        for (l, &g) in block.iter().enumerate() {
+            let p = (b * BLOCK_PAIRS + l) as u64;
+            let exact = circuit.exact(p >> w, p & mask);
+            let err = g as i64 - exact as i64;
+            let abs = err.unsigned_abs();
+            n += 1;
+            sum_abs += abs as u128;
+            sum_signed += err as i128;
+            sum_sq += (abs as u128) * (abs as u128);
+            wce = wce.max(abs);
+            if abs != 0 {
+                nonzero += 1;
+            }
+            if exact != 0 {
+                block_rel += abs as f64 / exact as f64;
+                rel_n += 1;
+            }
+        }
+        sum_rel += block_rel;
+    }
+    std::hint::black_box((sum_signed, sum_sq, wce, nonzero));
+    (sum_abs as f64 / n as f64, sum_rel / rel_n.max(1) as f64)
+}
+
+/// One exhaustive analysis worth of wide-pass result unpacking (65,536
+/// lanes) from a real simulation block of `circuit`, via `unpack`.
+fn unpack_all(
+    values: &[u64],
+    outputs: &[usize],
+    out: &mut Vec<u64>,
+    unpack: fn(&[u64], &[usize], usize, &mut Vec<u64>),
+) {
+    for _ in 0..(1 << 16) / LANES {
+        out.clear();
+        unpack(values, outputs, LANES, out);
+    }
+}
+
+/// The pre-width-aware unpack: a full 64×64 transpose per lane word.
+fn legacy_unpack(values: &[u64], outputs: &[usize], n: usize, out: &mut Vec<u64>) {
+    for j in 0..n.div_ceil(64) {
+        let mut m = [0u64; 64];
+        for (b, &o) in outputs.iter().enumerate() {
+            m[b] = values[o * LANE_WORDS + j];
+        }
+        transpose64(&mut m);
+        out.extend_from_slice(&m[..(n - 64 * j).min(64)]);
+    }
+}
+
+/// Wide net values of the first exhaustive block of `circuit`, and its
+/// output net indices.
+fn first_block_values(circuit: &ArithCircuit) -> (Vec<u64>, Vec<usize>) {
+    let w = circuit.width();
+    let lanes: Vec<u64> = (0..LANES as u64)
+        .map(|p| (p >> w) | ((p & ((1 << w) - 1)) << w))
+        .collect();
+    let mut words = vec![0u64; 2 * w * LANE_WORDS];
+    pack_lanes_wide(&lanes, 2 * w, &mut words);
+    let mut values = Vec::new();
+    SimTape::compile(circuit.netlist()).execute_wide(&words, &mut values);
+    let outputs = circuit
+        .netlist()
+        .outputs()
+        .iter()
+        .map(|o| o.index())
+        .collect();
+    (values, outputs)
+}
+
 /// Activity estimation exactly as the pre-tape kernel ran it: one
 /// interpreter pass per 64-vector stimulus block, fresh RNG fill and
 /// popcount accumulation per pass.
@@ -103,6 +218,30 @@ fn legacy_signal_probabilities(nl: &Netlist, passes: usize, seed: u64, out: &mut
     let total = (passes * 64) as f64;
     out.clear();
     out.extend(ones.iter().map(|&o| o as f64 / total));
+}
+
+/// Print one case and append it to the table and CSV rows.
+fn push_row(
+    rows: &mut Vec<Vec<String>>,
+    csv_rows: &mut Vec<Vec<String>>,
+    name: &str,
+    work: &str,
+    legacy_us: f64,
+    tape_us: f64,
+) {
+    let speedup = legacy_us / tape_us;
+    println!("  {name}: legacy {legacy_us:.0} us, tape {tape_us:.0} us  ({speedup:.2}x, {work})");
+    let row = |digits: usize| {
+        vec![
+            name.to_string(),
+            work.to_string(),
+            format!("{legacy_us:.digits$}"),
+            format!("{tape_us:.digits$}"),
+            format!("{speedup:.2}"),
+        ]
+    };
+    rows.push(row(1));
+    csv_rows.push(row(2));
 }
 
 fn main() {
@@ -138,25 +277,80 @@ fn main() {
         let tape_us = time_us(iters, runs, || {
             std::hint::black_box(analyze(std::hint::black_box(circuit), &cfg));
         });
-        let speedup = legacy_us / tape_us;
-        println!(
-            "  {name}: legacy {legacy_us:.0} us, tape {tape_us:.0} us  ({speedup:.2}x, \
-             {n} pairs)"
+        push_row(
+            &mut rows,
+            &mut csv_rows,
+            name,
+            &n.to_string(),
+            legacy_us,
+            tape_us,
         );
-        rows.push(vec![
-            name.to_string(),
-            format!("{n}"),
-            format!("{legacy_us:.1}"),
-            format!("{tape_us:.1}"),
-            format!("{speedup:.2}"),
-        ]);
-        csv_rows.push(vec![
-            name.to_string(),
-            format!("{n}"),
-            format!("{legacy_us:.2}"),
-            format!("{tape_us:.2}"),
-            format!("{speedup:.2}"),
-        ]);
+    }
+
+    // The fold and unpack layers alone, on approximate circuits (so the
+    // fold sees errors) of both 8-bit kinds.
+    let layers: Vec<(&str, ArithCircuit)> = vec![
+        ("mul8_bam", multipliers::broken_array(8, 6, 2)),
+        ("add8_loa4", adders::loa(8, 4)),
+    ];
+    for (name, circuit) in &layers {
+        let got = exhaustive_outputs(circuit);
+        let m = analyze(circuit, &cfg);
+        assert_eq!(
+            block_fold(circuit, &got),
+            m,
+            "{name}: fold diverged from analyze"
+        );
+        let (mae, mre) = legacy_fold(circuit, &got);
+        assert_eq!(
+            (mae.to_bits(), mre.to_bits()),
+            (m.mae.to_bits(), m.mre.to_bits()),
+            "{name}: legacy and block folds disagree"
+        );
+        let legacy_us = time_us(iters, runs, || {
+            std::hint::black_box(legacy_fold(circuit, std::hint::black_box(&got)));
+        });
+        let tape_us = time_us(iters, runs, || {
+            std::hint::black_box(block_fold(circuit, std::hint::black_box(&got)));
+        });
+        push_row(
+            &mut rows,
+            &mut csv_rows,
+            &format!("fold_{name}"),
+            "65536",
+            legacy_us,
+            tape_us,
+        );
+
+        let (values, outputs) = first_block_values(circuit);
+        let (mut fast, mut slow) = (Vec::new(), Vec::new());
+        unpack_results_wide(&values, &outputs, LANES, &mut fast);
+        legacy_unpack(&values, &outputs, LANES, &mut slow);
+        assert_eq!(fast, slow, "{name}: width-aware unpack diverged");
+        let legacy_us = time_us(iters, runs, || {
+            unpack_all(
+                &values,
+                &outputs,
+                std::hint::black_box(&mut slow),
+                legacy_unpack,
+            );
+        });
+        let tape_us = time_us(iters, runs, || {
+            unpack_all(
+                &values,
+                &outputs,
+                std::hint::black_box(&mut fast),
+                unpack_results_wide,
+            );
+        });
+        push_row(
+            &mut rows,
+            &mut csv_rows,
+            &format!("unpack_{name}"),
+            "65536",
+            legacy_us,
+            tape_us,
+        );
     }
 
     // Activity estimation: the ASIC power model's stimulus sweep.
@@ -190,26 +384,15 @@ fn main() {
             std::hint::black_box(&mut tape_probs),
         );
     });
-    let speedup = legacy_us / tape_us;
-    println!(
-        "  activity_mul8_wallace: legacy {legacy_us:.0} us, tape {tape_us:.0} us  \
-         ({speedup:.2}x, {passes} passes)"
-    );
     let work = format!("{passes}p");
-    rows.push(vec![
-        "activity_mul8_wallace".to_string(),
-        work.clone(),
-        format!("{legacy_us:.1}"),
-        format!("{tape_us:.1}"),
-        format!("{speedup:.2}"),
-    ]);
-    csv_rows.push(vec![
-        "activity_mul8_wallace".to_string(),
-        work,
-        format!("{legacy_us:.2}"),
-        format!("{tape_us:.2}"),
-        format!("{speedup:.2}"),
-    ]);
+    push_row(
+        &mut rows,
+        &mut csv_rows,
+        "activity_mul8_wallace",
+        &work,
+        legacy_us,
+        tape_us,
+    );
 
     write_csv(
         "sim_scaling.csv",

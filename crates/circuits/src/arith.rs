@@ -39,7 +39,7 @@ impl ArithKind {
     /// Panics if an operand does not fit in `w` bits or `2w` exceeds 64.
     pub fn exact(&self, w: usize, a: u64, b: u64) -> u64 {
         assert!(w <= 32, "operand width limited to 32 bits");
-        let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
+        let mask = (1u64 << w) - 1;
         assert!(a <= mask && b <= mask, "operand out of range");
         match self {
             ArithKind::Adder => a + b,
@@ -209,6 +209,8 @@ pub struct BatchEvaluator<'c> {
     // the two kernels never thrashes a shared allocation.
     wide_words: Vec<u64>,
     wide_values: Vec<u64>,
+    /// One packed `a | b << w` input word per lane of a wide pass.
+    wide_lanes: Vec<u64>,
 }
 
 /// Periodic input-word patterns for exhaustive enumeration: bit `l` of
@@ -271,6 +273,7 @@ impl<'c> BatchEvaluator<'c> {
             out_words: vec![0u64; outputs.len()],
             wide_words: vec![0u64; num_inputs * LANE_WORDS],
             wide_values: Vec::new(),
+            wide_lanes: Vec::new(),
             outputs,
         }
     }
@@ -314,30 +317,24 @@ impl<'c> BatchEvaluator<'c> {
 
     /// Evaluate a block of at most [`LANES`] operand pairs in one wide
     /// pass, appending one result per pair. Operand packing and result
-    /// extraction go through 64×64 bit transposes, so the per-pair
-    /// conversion cost is a handful of word operations rather than one
-    /// shift/mask chain per operand bit.
+    /// extraction go through bit transposes only as wide as the input and
+    /// output buses (see [`afp_netlist::pack_lanes_wide`]), so the
+    /// per-pair conversion cost is a handful of word operations rather
+    /// than one shift/mask chain per operand bit.
     ///
     /// # Panics
     ///
-    /// Panics if `pairs.len() > LANES`.
+    /// Panics if `pairs.len() > LANES` or the operands are wider than 32
+    /// bits.
     pub fn eval_block_into(&mut self, pairs: &[(u64, u64)], out: &mut Vec<u64>) {
         assert!(pairs.len() <= LANES, "a block is at most LANES lanes");
-        const W: usize = LANE_WORDS;
         let w = self.circuit.width();
+        assert!(w <= 32, "wide packing supports operands of at most 32 bits");
         let mask = (1u64 << w) - 1;
-        for (j, group) in pairs.chunks(64).enumerate() {
-            // Lane-major matrix: row l = the pair's packed input word.
-            // After transposing, row o = simulation word of input o.
-            let mut m = [0u64; 64];
-            for (l, &(a, b)) in group.iter().enumerate() {
-                m[l] = (a & mask) | ((b & mask) << w);
-            }
-            afp_netlist::transpose64(&mut m);
-            for (o, &word) in m.iter().enumerate().take(2 * w) {
-                self.wide_words[o * W + j] = word;
-            }
-        }
+        self.wide_lanes.clear();
+        self.wide_lanes
+            .extend(pairs.iter().map(|&(a, b)| (a & mask) | ((b & mask) << w)));
+        afp_netlist::pack_lanes_wide(&self.wide_lanes, 2 * w, &mut self.wide_words);
         self.exec_wide_and_unpack(pairs.len(), out);
     }
 
@@ -381,29 +378,15 @@ impl<'c> BatchEvaluator<'c> {
     }
 
     /// Run the wide kernel over the packed `wide_words` and append the
-    /// first `n` lane results to `out` via transpose extraction.
+    /// first `n` lane results to `out` via an output-width-aware
+    /// transpose ([`afp_netlist::unpack_results_wide`]).
     fn exec_wide_and_unpack(&mut self, n: usize, out: &mut Vec<u64>) {
-        const W: usize = LANE_WORDS;
         let tape = match &self.tape {
             TapeRef::Owned(t) => t,
             TapeRef::Shared(t) => t,
         };
         tape.execute_wide(&self.wide_words, &mut self.wide_values);
-        let mut j = 0;
-        let mut done = 0;
-        while done < n {
-            // Row b = simulation word of output bit b for lane word j;
-            // after transposing, row l = the integer result of lane l.
-            let mut m = [0u64; 64];
-            for (b, &o) in self.outputs.iter().enumerate() {
-                m[b] = self.wide_values[o * W + j];
-            }
-            afp_netlist::transpose64(&mut m);
-            let lanes = (n - done).min(64);
-            out.extend_from_slice(&m[..lanes]);
-            j += 1;
-            done += lanes;
-        }
+        afp_netlist::unpack_results_wide(&self.wide_values, &self.outputs, n, out);
     }
 
     /// Evaluate any number of operand pairs, chunking internally: blocks
@@ -525,6 +508,49 @@ mod tests {
         assert_eq!(wide, scalar);
         for (i, &(a, b)) in pairs.iter().enumerate() {
             assert_eq!(wide[i], a + b, "pair {i}");
+        }
+    }
+
+    #[test]
+    fn wide_blocks_match_scalar_chunks_at_every_lane_count() {
+        // Input/output buses of 16/9, 16/16, 32/32 and 64/64 bits: every
+        // transpose width the wide pack and unpack choose between.
+        let wire_mul = |w: usize| {
+            let mut n = Netlist::new("wire_mul");
+            let mut outs = n.add_inputs(w);
+            let _b = n.add_inputs(w);
+            let zero = n.constant(false);
+            outs.extend(std::iter::repeat_n(zero, w));
+            n.set_outputs(outs);
+            ArithCircuit::new(ArithKind::Multiplier, w, n)
+        };
+        let circuits = [
+            crate::adders::ripple_carry(8),
+            crate::multipliers::wallace_multiplier(8),
+            wire_mul(16),
+            wire_mul(32),
+        ];
+        let mut state = 0x1234_5678_9ABC_DEF1u64;
+        for c in &circuits {
+            let mask = (1u64 << c.width()) - 1;
+            let pairs: Vec<(u64, u64)> = (0..LANES)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state & mask, (state >> 32) & mask)
+                })
+                .collect();
+            let mut batch = BatchEvaluator::new(c);
+            let mut scalar = Vec::new();
+            for chunk in pairs.chunks(64) {
+                batch.eval_chunk_into(chunk, &mut scalar);
+            }
+            for n in 1..=LANES {
+                let mut wide = Vec::new();
+                batch.eval_block_into(&pairs[..n], &mut wide);
+                assert_eq!(wide, scalar[..n], "{} at {n} lanes", c.name());
+            }
         }
     }
 

@@ -53,6 +53,7 @@ mod sim;
 pub use gate::{Gate, GateKind};
 pub use netlist::{NetId, Netlist, NetlistError};
 pub use sim::{
-    eval_pass_reference, pack_operand, pack_operand_wide, transpose64, unpack_result,
-    unpack_result_wide, SimScratch, SimTape, Simulator, LANES, LANE_WORDS,
+    eval_pass_reference, pack_lanes_wide, pack_operand, pack_operand_wide, transpose64,
+    unpack_result, unpack_result_wide, unpack_results_wide, SimScratch, SimTape, Simulator, LANES,
+    LANE_WORDS,
 };

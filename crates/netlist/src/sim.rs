@@ -723,11 +723,21 @@ pub fn unpack_result_wide(output_blocks: &[u64], lane: usize) -> u64 {
 /// value-major results (one word per lane) in ~6 operations per lane
 /// instead of one shift/mask chain per output bit per lane.
 pub fn transpose64(a: &mut [u64; 64]) {
-    let mut j = 32;
-    let mut m: u64 = 0x0000_0000_FFFF_FFFF;
+    transpose_blocks(a);
+}
+
+/// `64 / S` independent S×S bit transposes packed side by side: for each
+/// `S`-bit field `c`, bit `S·c + j` of `a[i]` swaps with bit `S·c + i` of
+/// `a[j]`. The block-swap rounds of [`transpose64`] with the masks
+/// replicated per field, so `S = 16` costs 4 rounds over 16 words where
+/// the full transpose costs 6 rounds over 64.
+fn transpose_blocks<const S: usize>(a: &mut [u64; S]) {
+    let mut j = S / 2;
+    // Ones in the low `j` bits of every `2j`-bit field.
+    let mut m = u64::MAX / ((1u64 << j) + 1);
     while j != 0 {
         let mut k = 0;
-        while k < 64 {
+        while k < S {
             let t = ((a[k] >> j) ^ a[k + j]) & m;
             a[k] ^= t << j;
             a[k + j] ^= t;
@@ -735,6 +745,91 @@ pub fn transpose64(a: &mut [u64; 64]) {
         }
         j >>= 1;
         m ^= m << j;
+    }
+}
+
+/// Append the integer results of lanes `0..n` of a wide pass to `out`.
+///
+/// `values` holds [`LANE_WORDS`] words per net, as
+/// [`SimTape::execute_wide`] writes them; `outputs` lists the output nets
+/// LSB-first. Equal to transposing every lane word with [`transpose64`],
+/// but only as wide as the output bus: up to 16 output bits, four 16×16
+/// transposes share each word, up to 32 bits two 32×32 ones.
+///
+/// # Panics
+///
+/// Panics if there are more than 64 outputs or `n > LANES`.
+pub fn unpack_results_wide(values: &[u64], outputs: &[usize], n: usize, out: &mut Vec<u64>) {
+    assert!(outputs.len() <= 64, "at most 64 output bits");
+    assert!(n <= LANES, "at most LANES lanes");
+    match outputs.len() {
+        0..=16 => unpack_blocks::<16>(values, outputs, n, out),
+        17..=32 => unpack_blocks::<32>(values, outputs, n, out),
+        _ => unpack_blocks::<64>(values, outputs, n, out),
+    }
+}
+
+fn unpack_blocks<const S: usize>(values: &[u64], outputs: &[usize], n: usize, out: &mut Vec<u64>) {
+    let field = u64::MAX >> (64 - S);
+    for j in 0..n.div_ceil(64) {
+        // Row b = output bit b of lanes 64j..64j+64; after the transpose
+        // field c of row r holds the result of lane S·c + r.
+        let mut m = [0u64; S];
+        for (row, &o) in m.iter_mut().zip(outputs) {
+            *row = values[o * LANE_WORDS + j];
+        }
+        transpose_blocks(&mut m);
+        let mut lanes = [0u64; 64];
+        for (c, field_lanes) in lanes.chunks_exact_mut(S).enumerate() {
+            for (lane, &row) in field_lanes.iter_mut().zip(&m) {
+                *lane = (row >> (c * S)) & field;
+            }
+        }
+        out.extend_from_slice(&lanes[..(n - 64 * j).min(64)]);
+    }
+}
+
+/// Pack one `width`-bit integer per lane into the input blocks of a wide
+/// pass: bit `b` of `lanes[l]` goes to bit `l % 64` of
+/// `words[b * LANE_WORDS + l / 64]`. The inverse of
+/// [`unpack_results_wide`], with the same width-aware transposes. Lane
+/// words past the last lane are left untouched; unused lanes of the last
+/// word are zero.
+///
+/// # Panics
+///
+/// Panics if `width > 64` or `lanes.len() > LANES`. Values must fit in
+/// `width` bits.
+pub fn pack_lanes_wide(lanes: &[u64], width: usize, words: &mut [u64]) {
+    assert!(width <= 64, "at most 64 input bits per lane");
+    assert!(lanes.len() <= LANES, "at most LANES lanes");
+    match width {
+        0..=16 => pack_blocks::<16>(lanes, width, words),
+        17..=32 => pack_blocks::<32>(lanes, width, words),
+        _ => pack_blocks::<64>(lanes, width, words),
+    }
+}
+
+fn pack_blocks<const S: usize>(lanes: &[u64], width: usize, words: &mut [u64]) {
+    for (j, group) in lanes.chunks(64).enumerate() {
+        // Field c of row r = the value of lane S·c + r; after the
+        // transpose row b is the simulation word of input bit b.
+        let mut lanes = [0u64; 64];
+        lanes[..group.len()].copy_from_slice(group);
+        debug_assert!(
+            lanes.iter().all(|&v| width == 64 || v >> width == 0),
+            "lane value exceeds width"
+        );
+        let mut m = [0u64; S];
+        for (c, field_lanes) in lanes.chunks_exact(S).enumerate() {
+            for (row, &v) in m.iter_mut().zip(field_lanes) {
+                *row |= v << (c * S);
+            }
+        }
+        transpose_blocks(&mut m);
+        for (b, &row) in m.iter().enumerate().take(width) {
+            words[b * LANE_WORDS + j] = row;
+        }
     }
 }
 
@@ -987,5 +1082,94 @@ mod tests {
         }
         transpose64(&mut a);
         assert_eq!(a.as_slice(), original.as_slice());
+    }
+
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        state |= 1;
+        move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+    }
+
+    /// The full-transpose unpack: every lane word through [`transpose64`].
+    fn unpack_reference(values: &[u64], outputs: &[usize], n: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        for j in 0..n.div_ceil(64) {
+            let mut m = [0u64; 64];
+            for (b, &o) in outputs.iter().enumerate() {
+                m[b] = values[o * LANE_WORDS + j];
+            }
+            transpose64(&mut m);
+            out.extend_from_slice(&m[..(n - 64 * j).min(64)]);
+        }
+        out
+    }
+
+    /// The full-transpose pack: every 64-lane group through [`transpose64`].
+    fn pack_reference(lanes: &[u64], width: usize, words: &mut [u64]) {
+        for (j, group) in lanes.chunks(64).enumerate() {
+            let mut m = [0u64; 64];
+            m[..group.len()].copy_from_slice(group);
+            transpose64(&mut m);
+            for (b, &row) in m.iter().enumerate().take(width) {
+                words[b * LANE_WORDS + j] = row;
+            }
+        }
+    }
+
+    #[test]
+    fn width_aware_transposes_match_transpose64_at_every_lane_count() {
+        let mut next = xorshift(7);
+        for width in [1usize, 9, 16, 17, 32, 33, 64] {
+            let values: Vec<u64> = (0..width * LANE_WORDS).map(|_| next()).collect();
+            let outputs: Vec<usize> = (0..width).collect();
+            let field = u64::MAX >> (64 - width);
+            let lanes: Vec<u64> = (0..LANES).map(|_| next() & field).collect();
+            for n in 1..=LANES {
+                let mut fast = Vec::new();
+                unpack_results_wide(&values, &outputs, n, &mut fast);
+                assert_eq!(
+                    fast,
+                    unpack_reference(&values, &outputs, n),
+                    "unpack w={width} n={n}"
+                );
+                let (mut fast, mut slow) = (
+                    vec![!0u64; width * LANE_WORDS],
+                    vec![!0u64; width * LANE_WORDS],
+                );
+                pack_lanes_wide(&lanes[..n], width, &mut fast);
+                pack_reference(&lanes[..n], width, &mut slow);
+                assert_eq!(fast, slow, "pack w={width} n={n}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        #[test]
+        fn width_aware_transposes_match_transpose64(n in 1usize..=LANES, seed in 0u64..u64::MAX) {
+            let mut next = xorshift(seed);
+            for width in 1..=64usize {
+                // Outputs read from scattered nets, as a netlist's do.
+                let nets = width + 5;
+                let values: Vec<u64> = (0..nets * LANE_WORDS).map(|_| next()).collect();
+                let outputs: Vec<usize> = (0..width).map(|b| (b * 7 + 3) % nets).collect();
+                let mut fast = Vec::new();
+                unpack_results_wide(&values, &outputs, n, &mut fast);
+                proptest::prop_assert_eq!(fast, unpack_reference(&values, &outputs, n));
+
+                let field = u64::MAX >> (64 - width);
+                let lanes: Vec<u64> = (0..n).map(|_| next() & field).collect();
+                let sentinel = next();
+                let mut fast = vec![sentinel; width * LANE_WORDS];
+                let mut slow = fast.clone();
+                pack_lanes_wide(&lanes, width, &mut fast);
+                pack_reference(&lanes, width, &mut slow);
+                proptest::prop_assert_eq!(fast, slow);
+            }
+        }
     }
 }
