@@ -512,14 +512,11 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
     let size = cli.usize_flag("size", 300)?;
     let fronts = cli.usize_flag("fronts", 3)?;
     let threads = cli.usize_flag("threads", 0)?;
-    let shard = cli.usize_flag("shard", 0)?;
-    // 0 is the internal "use the default" sentinel; accepting it from the
-    // command line would silently run with 1024-circuit shards instead of
-    // what the user plainly asked for.
-    if cli.flags.get("shard").map(String::as_str) == Some("0") {
+    let shard = cli.usize_flag("shard", approxfpgas::DEFAULT_SHARD_CIRCUITS)?;
+    if shard == 0 {
         return Err(format!(
-            "--shard 0 is not a valid shard size (it would silently fall back to the \
-             {}-circuit default); pass --shard N with N >= 1, or omit the flag",
+            "--shard 0 is not a valid shard size; pass --shard N with N >= 1, or omit \
+             the flag for the {}-circuit default",
             approxfpgas::DEFAULT_SHARD_CIRCUITS
         ));
     }
@@ -549,6 +546,12 @@ fn cmd_flow(cli: &Cli) -> Result<String, String> {
                 ));
             }
         }
+    } else if cli.flags.contains_key("shard") {
+        return Err(
+            "--shard sizes the shards of a stored corpus; it needs --library or \
+             --paper-full (a generated library is characterized as one shard)"
+                .to_string(),
+        );
     }
     let subset: f64 = cli
         .flag_or("subset", "0.1")
@@ -1217,8 +1220,22 @@ mod tests {
         let e = run(&args(&["flow", "--size", "4", "--shard", "0"])).unwrap_err();
         assert!(e.contains("--shard 0"), "{e}");
         assert!(e.contains("1024"), "{e}");
-        // The sentinel is still fine when the flag is simply absent.
+        // Omitting the flag is fine: the default shard size applies.
         assert!(run(&args(&["flow", "--size", "4", "--subset", "1.0"])).is_ok());
+    }
+
+    #[test]
+    fn flow_rejects_shard_without_a_stored_corpus() {
+        // A generated library is one shard; --shard there would be a
+        // silently ignored flag.
+        let e = run(&args(&[
+            "flow", "--kind", "add", "--size", "40", "--shard", "8",
+        ]))
+        .unwrap_err();
+        assert!(e.contains("--shard"), "{e}");
+        assert!(e.contains("--library"), "{e}");
+        let e = run(&args(&["flow", "--shard", "8", "--all-targets"])).unwrap_err();
+        assert!(e.contains("--library"), "{e}");
     }
 
     #[test]

@@ -1,6 +1,10 @@
 //! Dataset assembly: parallel circuit characterization, 10% subset
 //! sampling and the 80/20 train/validation split.
 
+use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
 use afp_circuits::ArithCircuit;
 use afp_obs::Recorder;
 use afp_runtime::Runtime;
@@ -31,14 +35,8 @@ pub fn characterize_library(
 }
 
 /// [`characterize_library`] on an explicit [`Runtime`], optionally through
-/// the characterization cache. Items are distributed dynamically (circuit
-/// cost varies wildly across a library), but records always come back in
-/// library order, independent of the thread count.
-///
-/// Each worker thread owns one [`afp_fpga::Mapper`] and sweeps its share
-/// of the library through it, so repeated FPGA synthesis reuses warm cut
-/// arenas, scratch vectors and simulator buffers instead of reallocating
-/// per circuit. Reports are bit-identical for any thread count.
+/// the characterization cache: [`characterize_shards_traced`] over the
+/// resident slice as one borrowed shard (no netlist is cloned).
 pub fn characterize_library_with(
     library: &[ArithCircuit],
     asic_config: &afp_asic::AsicConfig,
@@ -47,8 +45,8 @@ pub fn characterize_library_with(
     rt: &Runtime,
     cache: Option<&CharacterizationCache>,
 ) -> Vec<CircuitRecord> {
-    characterize_library_traced(
-        library,
+    characterize_shards_traced(
+        std::iter::once(Ok(library.iter().collect::<Vec<_>>())),
         asic_config,
         fpga_config,
         error_config,
@@ -56,112 +54,39 @@ pub fn characterize_library_with(
         cache,
         &Recorder::disabled(),
     )
+    .expect("a resident library has no shard errors")
 }
 
-/// [`characterize_library_with`] with a `flow/characterize` tracing span
-/// (items = circuits characterized). Tracing wraps the whole parallel
-/// stage, so the span measures the stage's wall-clock latency; it never
-/// touches the per-circuit hot path.
+/// Characterize a library delivered as a sequence of shards — one shard
+/// for a resident or generated library, many for a stored corpus
+/// streamed through [`afp_circuits::LibrarySource::shards`] — with a
+/// `flow/characterize` tracing span (items = circuits characterized).
+/// Shards may own their circuits or borrow them.
+///
+/// Shards are pulled one at a time; each shard's not-yet-seen structures
+/// are characterized through the work-stealing runtime, and the shard's
+/// netlists are dropped before the next shard is pulled, so at most one
+/// shard of circuits is resident. Only the per-circuit
+/// [`CircuitRecord`]s and the structural-dedup index stay.
 ///
 /// Structurally identical circuits (same kind, width and
 /// [`afp_netlist::Netlist::structural_hash`] — approximate variants of one
 /// generator are frequently gate-identical after simplification) are
-/// simulated and synthesized **once**: each duplicate's record is copied
-/// from its representative with the duplicate's own id and name. Every
-/// report is a pure function of the netlist structure and the configs, so
-/// the fan-out is bit-identical to characterizing each copy separately;
-/// the skipped work is surfaced as the `structural_dedup_hits` counter.
-#[allow(clippy::too_many_arguments)]
-pub fn characterize_library_traced(
-    library: &[ArithCircuit],
-    asic_config: &afp_asic::AsicConfig,
-    fpga_config: &afp_fpga::FpgaConfig,
-    error_config: &afp_error::ErrorConfig,
-    rt: &Runtime,
-    cache: Option<&CharacterizationCache>,
-    recorder: &Recorder,
-) -> Vec<CircuitRecord> {
-    use std::collections::hash_map::Entry;
-    use std::collections::HashMap;
-
-    let mut span = recorder.span("flow/characterize");
-    span.add_items(library.len() as u64);
-
-    // Group structurally identical circuits; `reps` holds the library
-    // index of each group's first member, `rep_of[i]` that group's index.
-    let mut rep_of: Vec<usize> = Vec::with_capacity(library.len());
-    let mut reps: Vec<usize> = Vec::new();
-    let mut seen: HashMap<(afp_circuits::ArithKind, usize, u64), usize> =
-        HashMap::with_capacity(library.len());
-    for (i, c) in library.iter().enumerate() {
-        match seen.entry((c.kind(), c.width(), c.netlist().structural_hash())) {
-            Entry::Occupied(e) => rep_of.push(*e.get()),
-            Entry::Vacant(v) => {
-                v.insert(reps.len());
-                rep_of.push(reps.len());
-                reps.push(i);
-            }
-        }
-    }
-    let dedup_hits = (library.len() - reps.len()) as u64;
-    if dedup_hits > 0 {
-        afp_runtime::Counters::add(&rt.counters().structural_dedup_hits, dedup_hits);
-    }
-
-    let rep_records: Vec<CircuitRecord> = rt.par_map_init(
-        &reps,
-        CharacterizeScratch::default,
-        |scratch, _, &lib_ix| {
-            characterize_with_scratch(
-                lib_ix,
-                &library[lib_ix],
-                asic_config,
-                fpga_config,
-                error_config,
-                rt,
-                cache,
-                scratch,
-            )
-        },
-    );
-
-    library
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let mut record = rep_records[rep_of[i]].clone();
-            record.id = i;
-            record.name = c.name().to_string();
-            record
-        })
-        .collect()
-}
-
-/// [`characterize_library_traced`] over a *shard iterator* instead of a
-/// resident slice: the streaming path behind `afp flow --library` and
-/// `--paper-full`.
-///
-/// Shards are pulled one at a time (e.g. from a sealed `.afps` corpus via
-/// [`afp_circuits::LibrarySource::shards`]), each shard's
-/// not-yet-seen structures are characterized through the work-stealing
-/// runtime, and the shard's netlists are dropped before the next shard is
-/// pulled — peak circuit residency is one shard, tracked by the
-/// `peak_resident_circuits` gauge, with `shards_streamed` counting the
-/// pulls. Only the per-circuit [`CircuitRecord`]s (and the cross-shard
-/// structural-dedup index) stay resident.
-///
-/// Records come back in library order with ids equal to library indices,
-/// bit-identical to the in-RAM path on the same circuit sequence, for any
-/// thread count and any shard size: structural dedup spans shard
-/// boundaries (a structure seen in shard 0 is never re-characterized in
-/// shard 7), and every record is a pure function of structure + configs.
+/// simulated and synthesized **once**, across shard boundaries: each
+/// duplicate's record is copied from its representative with the
+/// duplicate's own id and name, and the skipped work is surfaced as the
+/// `structural_dedup_hits` counter. Every report is a pure function of
+/// the netlist structure and the configs, so records come back in library
+/// order (ids = library indices), bit-identical for any thread count and
+/// any shard size. Each worker thread owns one [`CharacterizeScratch`]
+/// (warm FPGA mapper and ASIC buffers) for every circuit it sweeps.
 ///
 /// The first shard error (torn corpus, undecodable record) aborts and is
 /// returned; a damaged corpus never silently characterizes as a smaller
 /// library.
 #[allow(clippy::too_many_arguments)]
-pub fn characterize_shards_traced(
-    shards: impl Iterator<Item = std::io::Result<Vec<ArithCircuit>>>,
+pub fn characterize_shards_traced<C: Borrow<ArithCircuit> + Sync>(
+    shards: impl Iterator<Item = std::io::Result<Vec<C>>>,
     asic_config: &afp_asic::AsicConfig,
     fpga_config: &afp_fpga::FpgaConfig,
     error_config: &afp_error::ErrorConfig,
@@ -169,9 +94,6 @@ pub fn characterize_shards_traced(
     cache: Option<&CharacterizationCache>,
     recorder: &Recorder,
 ) -> std::io::Result<Vec<CircuitRecord>> {
-    use std::collections::hash_map::Entry;
-    use std::collections::HashMap;
-
     let mut span = recorder.span("flow/characterize");
 
     let mut seen: HashMap<(afp_circuits::ArithKind, usize, u64), usize> = HashMap::new();
@@ -183,43 +105,37 @@ pub fn characterize_shards_traced(
 
     for shard in shards {
         let shard = shard?;
-        if shard.is_empty() {
-            continue;
-        }
         span.add_items(shard.len() as u64);
-        afp_runtime::Counters::add(&rt.counters().shards_streamed, 1);
-        afp_runtime::Counters::max(&rt.counters().peak_resident_circuits, shard.len() as u64);
+        seen.reserve(shard.len());
+        fanout.reserve(shard.len());
 
-        let mut fresh: Vec<(usize, ArithCircuit)> = Vec::new();
-        let mut dedup_hits = 0u64;
+        // This shard's representatives, each with its global library
+        // index (the id its record carries).
+        let mut fresh: Vec<(usize, C)> = Vec::new();
         for c in shard {
-            match seen.entry((c.kind(), c.width(), c.netlist().structural_hash())) {
-                Entry::Occupied(e) => {
-                    dedup_hits += 1;
-                    fanout.push((c.name().to_string(), *e.get()));
-                }
+            let circuit = c.borrow();
+            let key = (
+                circuit.kind(),
+                circuit.width(),
+                circuit.netlist().structural_hash(),
+            );
+            let name = circuit.name().to_string();
+            match seen.entry(key) {
+                Entry::Occupied(e) => fanout.push((name, *e.get())),
                 Entry::Vacant(v) => {
                     v.insert(rep_records.len() + fresh.len());
-                    fanout.push((c.name().to_string(), rep_records.len() + fresh.len()));
-                    // The representative keeps its global library index,
-                    // exactly as in the in-RAM path.
+                    fanout.push((name, rep_records.len() + fresh.len()));
                     fresh.push((fanout.len() - 1, c));
                 }
             }
         }
-        if dedup_hits > 0 {
-            afp_runtime::Counters::add(&rt.counters().structural_dedup_hits, dedup_hits);
-        }
-
-        let window = fresh.len().max(1);
-        rep_records.extend(rt.par_map_stream_init(
-            fresh,
-            window,
+        let records = rt.par_map_init(
+            &fresh,
             CharacterizeScratch::default,
-            |scratch, _, item: &(usize, ArithCircuit)| {
+            |scratch, _, (id, c)| {
                 characterize_with_scratch(
-                    item.0,
-                    &item.1,
+                    *id,
+                    c.borrow(),
                     asic_config,
                     fpga_config,
                     error_config,
@@ -228,9 +144,15 @@ pub fn characterize_shards_traced(
                     scratch,
                 )
             },
-        ));
-        // `fresh` was consumed by the streaming map: this shard's
-        // netlists are gone before the next shard is pulled.
+        );
+        // The shard's netlists go before `rep_records` grows and before
+        // the next shard is pulled.
+        drop(fresh);
+        rep_records.extend(records);
+    }
+    let dedup_hits = (fanout.len() - rep_records.len()) as u64;
+    if dedup_hits > 0 {
+        afp_runtime::Counters::add(&rt.counters().structural_dedup_hits, dedup_hits);
     }
 
     Ok(fanout
@@ -402,9 +324,9 @@ mod tests {
                     format!("{expect:?}"),
                     "threads={threads} shard={shard}"
                 );
+                // Shard and residency counters belong to the stored-corpus
+                // flow (see flow.rs); the dedup spans shards here.
                 let snap = rt.snapshot();
-                assert_eq!(snap.shards_streamed, lib.len().div_ceil(shard) as u64);
-                assert_eq!(snap.peak_resident_circuits, shard.min(lib.len()) as u64);
                 assert_eq!(snap.structural_dedup_hits, base.len() as u64);
                 assert_eq!(snap.fpga_synths, base.len() as u64);
             }

@@ -4,23 +4,21 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
-use afp_circuits::{build_library_with, ArithCircuit, LibrarySource, LibrarySpec};
+use afp_circuits::{build_library_with, LibrarySource, LibrarySpec};
 use afp_ml::chaos::ChaosConfig;
 use afp_ml::MlModelId;
 use afp_obs::Recorder;
 use afp_runtime::{CounterSnapshot, Counters, Runtime};
 
 use crate::cache::{CacheBackend, CharacterizationCache};
-use crate::dataset::{
-    characterize_library_traced, characterize_shards_traced, sample_subset, train_validate_split,
-};
+use crate::dataset::{characterize_shards_traced, sample_subset, train_validate_split};
 use crate::fidelity::{train_zoo_tuned_with, train_zoo_with, TrainedZoo};
 use crate::pareto::{coverage, pareto_front, peel_fronts};
 use crate::record::{CircuitRecord, FpgaParam};
 
-/// Shard size used when [`FlowConfig::shard_circuits`] is `0`: large
-/// enough to keep the work-stealing pool saturated, small enough that a
-/// paper-full corpus never has more than ~2% of its circuits resident.
+/// The default [`FlowConfig::shard_circuits`]: large enough to keep the
+/// work-stealing pool saturated, small enough that a paper-full corpus
+/// never has more than ~2% of its circuits resident.
 pub const DEFAULT_SHARD_CIRCUITS: usize = 1024;
 
 /// Configuration of one flow run.
@@ -55,9 +53,10 @@ pub struct FlowConfig {
     /// core). Results are bit-identical for any thread count.
     pub threads: usize,
     /// Circuits per shard when streaming a stored corpus through
-    /// [`Flow::run_source`] (0 = the 1024-circuit default). Smaller
+    /// [`Flow::run_source`] (0 = the whole corpus in one shard). Smaller
     /// shards lower peak circuit residency; normalized outcomes are
-    /// bit-identical for any shard size.
+    /// bit-identical for any shard size. A generated library is always
+    /// characterized as one shard.
     pub shard_circuits: usize,
     /// Memoize characterization results keyed by circuit structure and
     /// configuration (default on; repeated circuits and repeated runs of
@@ -246,6 +245,20 @@ impl FlowOutcome {
     }
 }
 
+/// Open the characterization cache `config` asks for: `None` with caching
+/// off, memory-only without a `cache_dir`, else the configured disk
+/// backend (whose open error is returned).
+fn open_cache(config: &FlowConfig) -> std::io::Result<Option<CharacterizationCache>> {
+    if !config.use_cache {
+        return Ok(None);
+    }
+    Ok(Some(match (&config.cache_dir, config.cache_backend) {
+        (Some(dir), CacheBackend::Store) => CharacterizationCache::try_with_disk(dir)?,
+        (Some(dir), CacheBackend::Csv) => CharacterizationCache::try_with_csv_disk(dir)?,
+        (None, _) => CharacterizationCache::in_memory(),
+    }))
+}
+
 /// The ApproxFPGAs flow runner.
 pub struct Flow {
     config: FlowConfig,
@@ -255,17 +268,11 @@ pub struct Flow {
 impl Flow {
     /// Create a flow with `config`. If caching is enabled, the cache lives
     /// as long as the `Flow` — repeated [`run`](Flow::run)s on the same
-    /// instance hit it.
+    /// instance hit it. A `cache_dir` that cannot be opened falls back to
+    /// a memory-only cache.
     pub fn new(config: FlowConfig) -> Flow {
-        let cache = if config.use_cache {
-            Some(match (&config.cache_dir, config.cache_backend) {
-                (Some(dir), CacheBackend::Store) => CharacterizationCache::with_disk(dir),
-                (Some(dir), CacheBackend::Csv) => CharacterizationCache::with_csv_disk(dir),
-                (None, _) => CharacterizationCache::in_memory(),
-            })
-        } else {
-            None
-        };
+        let cache =
+            open_cache(&config).unwrap_or_else(|_| Some(CharacterizationCache::in_memory()));
         Flow { config, cache }
     }
 
@@ -274,15 +281,7 @@ impl Flow {
     /// cache. Use this when the caller asked for persistence explicitly
     /// (as the CLI's `--cache-dir` does).
     pub fn try_new(config: FlowConfig) -> std::io::Result<Flow> {
-        let cache = if config.use_cache {
-            Some(match (&config.cache_dir, config.cache_backend) {
-                (Some(dir), CacheBackend::Store) => CharacterizationCache::try_with_disk(dir)?,
-                (Some(dir), CacheBackend::Csv) => CharacterizationCache::try_with_csv_disk(dir)?,
-                (None, _) => CharacterizationCache::in_memory(),
-            })
-        } else {
-            None
-        };
+        let cache = open_cache(&config)?;
         Ok(Flow { config, cache })
     }
 
@@ -312,15 +311,16 @@ impl Flow {
 
     /// Run the methodology on a library obtained from `source`.
     ///
-    /// [`LibrarySource::Generated`] behaves exactly like [`Flow::run`]
-    /// with that spec as [`FlowConfig::library`]: the library is built in
-    /// process and characterized in RAM. [`LibrarySource::Stored`]
-    /// streams the corpus shard-at-a-time ([`FlowConfig::shard_circuits`]
+    /// Both sources feed one characterizer
+    /// ([`characterize_shards_traced`]). [`LibrarySource::Generated`]
+    /// behaves exactly like [`Flow::run`] with that spec as
+    /// [`FlowConfig::library`]: the library is built in process and
+    /// characterized as a single shard. [`LibrarySource::Stored`] streams
+    /// the corpus shard-at-a-time ([`FlowConfig::shard_circuits`]
     /// circuits per shard), keeping only one shard plus the surviving
-    /// records resident; normalized outcomes are bit-identical to the
-    /// in-RAM path for any shard size and thread count. A missing,
-    /// foreign-version, or torn corpus is an `Err` — never a silently
-    /// smaller run.
+    /// records resident; normalized outcomes are bit-identical for any
+    /// shard size and thread count. A missing, foreign-version, or torn
+    /// corpus is an `Err` — never a silently smaller run.
     pub fn run_source(&self, source: &LibrarySource) -> std::io::Result<FlowOutcome> {
         self.run_source_traced(source, &Recorder::disabled())
     }
@@ -334,93 +334,50 @@ impl Flow {
     ) -> std::io::Result<FlowOutcome> {
         let cfg = &self.config;
         let rt = Runtime::new(cfg.threads);
-        match source {
+        let shards: Box<dyn Iterator<Item = _> + '_> = match source {
             LibrarySource::Generated(spec) => {
-                let library = {
-                    let mut span = recorder.span("flow/build_library");
-                    let library = build_library_with(spec, &rt);
-                    span.add_items(library.len() as u64);
-                    library
-                };
-                let records = characterize_library_traced(
-                    &library,
-                    &cfg.asic,
-                    &cfg.fpga,
-                    &cfg.error,
-                    &rt,
-                    self.cache.as_ref(),
-                    recorder,
-                );
-                drop(library);
-                Ok(self.run_on_records_inner(records, &rt, recorder))
+                let mut span = recorder.span("flow/build_library");
+                let library = build_library_with(spec, &rt);
+                span.add_items(library.len() as u64);
+                Box::new(std::iter::once(Ok(library)))
             }
+            // Only a stored corpus streams: its shards are what the
+            // `shards_streamed` / `peak_resident_circuits` counters count.
             LibrarySource::Stored(_) => {
-                let shard = if cfg.shard_circuits == 0 {
-                    DEFAULT_SHARD_CIRCUITS
-                } else {
-                    cfg.shard_circuits
-                };
-                let shards = source.shards(shard, &rt)?;
-                let records = characterize_shards_traced(
-                    shards,
-                    &cfg.asic,
-                    &cfg.fpga,
-                    &cfg.error,
-                    &rt,
-                    self.cache.as_ref(),
-                    recorder,
-                )?;
-                Ok(self.run_on_records_inner(records, &rt, recorder))
+                let counters = rt.counters();
+                Box::new(
+                    source
+                        .shards(cfg.shard_circuits, &rt)?
+                        .inspect(move |shard| {
+                            if let Ok(shard) = shard {
+                                Counters::add(&counters.shards_streamed, 1);
+                                Counters::max(&counters.peak_resident_circuits, shard.len() as u64);
+                            }
+                        }),
+                )
             }
-        }
-    }
-
-    /// Run the methodology on an already-built library slice: in-RAM
-    /// characterization plus the downstream stages, with no
-    /// `flow/build_library` span. This is the resident comparator for the
-    /// streamed path — `run_source(&LibrarySource::Stored(p))` must
-    /// produce the same normalized report as
-    /// `run_on_library(&read_library(p)?)`.
-    pub fn run_on_library(&self, library: &[ArithCircuit]) -> FlowOutcome {
-        self.run_on_library_traced(library, &Recorder::disabled())
-    }
-
-    /// [`Flow::run_on_library`] with structured tracing (see
-    /// [`Flow::run_traced`]).
-    pub fn run_on_library_traced(
-        &self,
-        library: &[ArithCircuit],
-        recorder: &Recorder,
-    ) -> FlowOutcome {
-        let cfg = &self.config;
-        let rt = Runtime::new(cfg.threads);
-        let records = characterize_library_traced(
-            library,
+        };
+        let records = characterize_shards_traced(
+            shards,
             &cfg.asic,
             &cfg.fpga,
             &cfg.error,
             &rt,
             self.cache.as_ref(),
             recorder,
-        );
-        self.run_on_records_inner(records, &rt, recorder)
+        )?;
+        Ok(self.run_on_records_inner(records, &rt, recorder))
     }
 
     /// Run the methodology on pre-characterized records (lets callers share
     /// one characterization across multiple flow variants, as the Fig. 7
     /// ablation does).
     pub fn run_on_records(&self, records: Vec<CircuitRecord>) -> FlowOutcome {
-        self.run_on_records_traced(records, &Recorder::disabled())
-    }
-
-    /// [`Flow::run_on_records`] with structured tracing (see
-    /// [`Flow::run_traced`]).
-    pub fn run_on_records_traced(
-        &self,
-        records: Vec<CircuitRecord>,
-        recorder: &Recorder,
-    ) -> FlowOutcome {
-        self.run_on_records_inner(records, &Runtime::new(self.config.threads), recorder)
+        self.run_on_records_inner(
+            records,
+            &Runtime::new(self.config.threads),
+            &Recorder::disabled(),
+        )
     }
 
     fn run_on_records_inner(
@@ -824,31 +781,38 @@ mod tests {
         let library = afp_circuits::build_library(&cfg.library);
         afp_circuits::write_library(&path, &library).expect("persist corpus");
 
-        let in_ram = Flow::new(cfg.clone()).run_on_library(&library);
-        for (threads, shard) in [(1, 7), (4, 17), (1, 0)] {
+        // The in-RAM comparator: the whole corpus as one shard.
+        let stored = LibrarySource::Stored(path.clone());
+        let in_ram = Flow::new(FlowConfig {
+            shard_circuits: 0,
+            ..cfg.clone()
+        })
+        .run_source(&stored)
+        .expect("one-shard flow");
+        let n = in_ram.records.len();
+        assert_eq!(in_ram.runtime.shards_streamed, 1);
+        assert_eq!(in_ram.runtime.peak_resident_circuits, n as u64);
+        for (threads, shard) in [(1, 7), (4, 17), (1, n), (4, 500)] {
             let flow = Flow::new(FlowConfig {
                 threads,
                 shard_circuits: shard,
                 ..cfg.clone()
             });
-            let streamed = flow
-                .run_source(&LibrarySource::Stored(path.clone()))
-                .expect("streamed flow");
+            let streamed = flow.run_source(&stored).expect("streamed flow");
             assert_eq!(in_ram.subset, streamed.subset, "threads={threads}");
             assert_eq!(in_ram.synthesized, streamed.synthesized);
             assert_eq!(in_ram.final_fronts, streamed.final_fronts);
             assert_eq!(in_ram.coverage, streamed.coverage);
             assert_eq!(in_ram.time, streamed.time);
-            assert!(streamed.runtime.shards_streamed >= 1);
-            let cap = if shard == 0 {
-                DEFAULT_SHARD_CIRCUITS
-            } else {
-                shard
-            };
-            assert!(
-                streamed.runtime.peak_resident_circuits <= cap as u64,
-                "peak {} > shard {cap}",
-                streamed.runtime.peak_resident_circuits
+            assert_eq!(
+                streamed.runtime.shards_streamed,
+                n.div_ceil(shard) as u64,
+                "threads={threads} shard={shard}"
+            );
+            assert_eq!(
+                streamed.runtime.peak_resident_circuits,
+                shard.min(n) as u64,
+                "threads={threads} shard={shard}"
             );
         }
         // A missing corpus is a loud error, not an empty run.

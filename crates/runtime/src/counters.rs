@@ -39,11 +39,12 @@ pub struct Counters {
     /// Characterizations answered by copying the record of a structurally
     /// identical circuit instead of simulating again.
     pub structural_dedup_hits: AtomicU64,
-    /// Library shards pulled through the streaming characterization path.
+    /// Shards pulled from a stored corpus (a generated or resident library
+    /// is characterized as one shard that is not counted here).
     pub shards_streamed: AtomicU64,
     /// High-water mark of circuits resident at once while streaming a
-    /// library shard-at-a-time (a gauge updated via [`Counters::max`],
-    /// not a monotonic count).
+    /// stored corpus shard-at-a-time (a gauge updated via
+    /// [`Counters::max`], not a monotonic count).
     pub peak_resident_circuits: AtomicU64,
     /// Non-finite model estimates quarantined by the flow (excluded from
     /// pseudo-pareto peeling instead of corrupting the ranking).
@@ -154,7 +155,7 @@ pub struct CounterSnapshot {
     pub sim_tape_reuses: u64,
     /// Characterizations served by structural dedup.
     pub structural_dedup_hits: u64,
-    /// Library shards pulled through the streaming path.
+    /// Shards pulled from a stored corpus.
     pub shards_streamed: u64,
     /// High-water mark of circuits resident while streaming (a gauge; in
     /// a [`CounterSnapshot::since`] delta it is only meaningful when the

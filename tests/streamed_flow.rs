@@ -5,9 +5,7 @@
 
 use std::path::PathBuf;
 
-use approxfpgas_suite::circuits::{
-    read_library, write_library_specs, ArithKind, LibrarySource, LibrarySpec,
-};
+use approxfpgas_suite::circuits::{write_library_specs, ArithKind, LibrarySource, LibrarySpec};
 use approxfpgas_suite::flow::report::{normalized, run_report};
 use approxfpgas_suite::flow::{Flow, FlowConfig};
 use approxfpgas_suite::ml::MlModelId;
@@ -67,11 +65,17 @@ fn streamed_reports_are_byte_identical_to_the_in_ram_path() {
     let dir = temp_dir("golden");
     let path = mixed_corpus(&dir);
 
-    // In-RAM comparator: eager read + resident characterization.
+    // In-RAM comparator: the whole corpus resident as one shard.
     let in_ram_cfg = config(1, 0);
-    let library = read_library(&path).unwrap();
     let rec = Recorder::enabled();
-    let outcome = Flow::new(in_ram_cfg.clone()).run_on_library_traced(&library, &rec);
+    let outcome = Flow::new(in_ram_cfg.clone())
+        .run_source_traced(&LibrarySource::Stored(path.clone()), &rec)
+        .unwrap();
+    assert_eq!(outcome.runtime.shards_streamed, 1);
+    assert_eq!(
+        outcome.runtime.peak_resident_circuits,
+        outcome.records.len() as u64
+    );
     let golden = report_json(&in_ram_cfg, &outcome, &rec);
     assert!(golden.contains("\"shards_streamed\":0"), "{golden}");
     assert!(golden.contains("\"peak_resident_circuits\":0"), "{golden}");
@@ -83,14 +87,16 @@ fn streamed_reports_are_byte_identical_to_the_in_ram_path() {
             let outcome = Flow::new(cfg.clone())
                 .run_source_traced(&LibrarySource::Stored(path.clone()), &rec)
                 .unwrap();
-            assert!(
-                outcome.runtime.shards_streamed >= 1,
+            let n = outcome.records.len();
+            assert_eq!(
+                outcome.runtime.shards_streamed,
+                n.div_ceil(shard) as u64,
                 "threads={threads} shard={shard}"
             );
-            assert!(
-                outcome.runtime.peak_resident_circuits <= shard as u64,
-                "threads={threads} shard={shard}: peak {}",
-                outcome.runtime.peak_resident_circuits
+            assert_eq!(
+                outcome.runtime.peak_resident_circuits,
+                shard.min(n) as u64,
+                "threads={threads} shard={shard}"
             );
             let streamed = report_json(&cfg, &outcome, &rec);
             assert_eq!(
